@@ -1,0 +1,40 @@
+package main
+
+import (
+	"math"
+	"sort"
+)
+
+// percentile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear
+// interpolation between closest ranks; 0 for no samples.
+func percentile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	return s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
+}
+
+func median(xs []float64) float64 { return percentile(xs, 0.5) }
+
+func sum(xs []float64) float64 {
+	total := 0.0
+	for _, x := range xs {
+		total += x
+	}
+	return total
+}
+
+func mean(xs []float64) float64 { return ratio(sum(xs), float64(len(xs))) }
+
+// ratio is a/b, 0 when b is 0 (the workload did no such work).
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
+}
